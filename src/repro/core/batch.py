@@ -38,7 +38,7 @@ from ..tsdb.paa import paa_transform
 from ..tsdb.sax import sax_symbols
 from .builder import TardisIndex
 from .isaxt import batch_signatures
-from .queries import ExactMatchResult, KnnResult, Neighbor
+from .queries import ExactMatchResult, KnnResult, rank_neighbors
 
 __all__ = [
     "BatchReport",
@@ -275,12 +275,7 @@ def batch_knn_target_node(
                     if _KERNELS.enabled:
                         _KERNELS.record("euclidean", elements=diff.size,
                                         seconds=perf_counter() - t0)
-                    order = np.lexsort((rids, distances))[:k]
-                    result.neighbors = [
-                        Neighbor(d, r)
-                        for d, r in zip(distances[order].tolist(),
-                                        rids[order].tolist())
-                    ]
+                    result.neighbors = rank_neighbors(distances, rids, k)
                 results[i] = result
         return results, load_ledger.clock_s + scratch.clock_s, "loaded"
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster import BlockStorage, SimCluster, SimulationLedger
+from ..cluster import BlockStorage, CostModel, SimCluster, SimulationLedger
 from ..faults.errors import PartitionUnavailableError
 from ..faults.injector import get_injector
 from ..telemetry.metrics import get_registry
@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: Cost model of a default :class:`SimCluster` (immutable, so shared).
+_DEFAULT_COST = CostModel()
 
 
 def convert_records(
@@ -176,7 +179,9 @@ class TardisIndex:
                     )
                 attempt += 1
         if ledger is not None:
-            cost_model = (cluster or SimCluster(self.config.n_workers)).cost_model
+            cost_model = (
+                _DEFAULT_COST if cluster is None else cluster.cost_model
+            )
             io = cost_model.disk_read_time(
                 max(partition.nbytes, self.block_nbytes())
             )

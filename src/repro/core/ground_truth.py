@@ -20,7 +20,7 @@ import numpy as np
 from ..tsdb.distance import batch_euclidean
 from ..tsdb.series import TimeSeriesDataset
 from .builder import TardisIndex
-from .queries import Neighbor, query_signature
+from .queries import Neighbor, query_signature, rank_neighbors
 
 __all__ = ["brute_force_knn", "pruned_ground_truth", "GroundTruthError"]
 
@@ -37,10 +37,7 @@ def brute_force_knn(
         raise ValueError("k must be positive")
     distances = batch_euclidean(np.asarray(query, dtype=np.float64), dataset.values)
     rids = np.asarray(dataset.record_ids)
-    order = np.lexsort((rids, distances))[:k]
-    return [
-        Neighbor(float(distances[i]), int(rids[i])) for i in order
-    ]
+    return rank_neighbors(distances, rids, k)
 
 
 def pruned_ground_truth(
@@ -94,13 +91,11 @@ def pruned_ground_truth(
         )
     distances = np.concatenate(per_partition_distances)
     rids = np.concatenate(per_partition_rids)
-    order = np.lexsort((rids, distances))[:k]
-    kth = float(distances[order[-1]])
+    neighbors = rank_neighbors(distances, rids, k)
+    kth = neighbors[-1].distance
     if kth > threshold:
         raise GroundTruthError(
             f"k-th candidate distance {kth:.3f} exceeds threshold {threshold}; "
             "result not certifiably exact — raise the threshold"
         )
-    return [
-        Neighbor(float(distances[i]), int(rids[i])) for i in order
-    ]
+    return neighbors

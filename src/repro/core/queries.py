@@ -11,7 +11,9 @@ short-circuit) and the three kNN-Approximate strategies:
   MINDIST lower bound to widen the candidate pool.
 * **Multi-Partitions Access (MPA, Alg. 1)** — additionally loads up to
   ``pth`` sibling partitions (from the Tardis-G parent's id list) and
-  prunes them all in parallel with the same threshold.
+  prunes them all in parallel with the same threshold.  Its scan
+  (:func:`scan_partitions`) and merge (:func:`gather`) are also what
+  shards and the router of :mod:`repro.sharding` run.
 
 Every partition access is charged to a query ledger so average query times
 reproduce the Fig. 14-16 latency shapes.
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,6 +49,11 @@ __all__ = [
     "knn_one_partition_access",
     "knn_multi_partitions_access",
     "select_mpa_partitions",
+    "PartitionScan",
+    "scan_partitions",
+    "gather",
+    "rank_neighbors",
+    "top_k",
     "KNN_STRATEGIES",
 ]
 
@@ -251,14 +260,26 @@ def exact_match(
 # ---------------------------------------------------------------------------
 
 
-def _top_k(
+def rank_neighbors(distances, record_ids, k: int) -> list[Neighbor]:
+    """The ``k`` smallest ``distances`` as neighbors, ties by record id.
+
+    The one (distance, record_id) ranking every strategy, batch pass and
+    ground-truth scan shares, so each returns the identical neighbor list.
+    """
+    order = np.lexsort((record_ids, distances))[:k]
+    return [
+        Neighbor(d, r)
+        for d, r in zip(distances[order].tolist(), record_ids[order].tolist())
+    ]
+
+
+def top_k(
     query: np.ndarray, partition: LocalPartition, rows: np.ndarray, k: int
 ) -> list[Neighbor]:
     """k nearest block rows to the query by true Euclidean distance.
 
-    One vectorized distance pass over the columnar value matrix; ties in
-    distance break by ascending record id so every strategy (and every
-    executor backend) returns the identical neighbor list.
+    One vectorized distance pass over the columnar value matrix, then
+    :func:`rank_neighbors`.
     """
     if len(rows) == 0:
         return []
@@ -266,12 +287,7 @@ def _top_k(
     distances = batch_euclidean(
         np.asarray(query, dtype=np.float64), block.values[rows]
     )
-    rids = block.record_ids[rows]
-    order = np.lexsort((rids, distances))[:k]
-    return [
-        Neighbor(d, r)
-        for d, r in zip(distances[order].tolist(), rids[order].tolist())
-    ]
+    return rank_neighbors(distances, block.record_ids[rows], k)
 
 
 def _require_clustered(index: TardisIndex) -> None:
@@ -311,7 +327,7 @@ def knn_target_node_access(
             candidates = partition.entries_under(target, stats=scan)
             result.candidates_examined = len(candidates)
             result.nodes_visited = (target.layer + 1) + scan.visited
-            result.neighbors = _top_k(query, partition, candidates, k)
+            result.neighbors = top_k(query, partition, candidates, k)
         _annotate_knn_span(span, result)
     _record_query_metrics(
         candidates=result.candidates_examined,
@@ -347,7 +363,7 @@ def knn_one_partition_access(
             scan = ScanStats()
             target = partition.target_node(signature, k)
             seed_entries = partition.entries_under(target, stats=scan)
-            seed = _top_k(query, partition, seed_entries, k)
+            seed = top_k(query, partition, seed_entries, k)
             threshold = seed[-1].distance if len(seed) >= k else np.inf
             extra = partition.pruned_entries(
                 paa, threshold, index.series_length, skip=target, stats=scan
@@ -356,7 +372,7 @@ def knn_one_partition_access(
             result.candidates_examined = len(candidates)
             result.nodes_visited = (target.layer + 1) + scan.visited
             result.nodes_pruned = scan.pruned
-            result.neighbors = _top_k(query, partition, candidates, k)
+            result.neighbors = top_k(query, partition, candidates, k)
         _annotate_knn_span(span, result)
     _record_query_metrics(
         candidates=result.candidates_examined,
@@ -392,23 +408,154 @@ def select_mpa_partitions(global_index, signature, pth, bound_of):
     return home_pid, pid_list
 
 
+@dataclass
+class PartitionScan:
+    """One slice of a Multi-Partitions Access query, scanned.
+
+    Single-process MPA scans the whole capped partition list as one
+    slice; a shard scans the partitions it hosts.  Either way the
+    per-partition top-k lists in ``tops`` are what :func:`gather` merges.
+    """
+
+    #: Partition ids that loaded, in request order.
+    loaded: list[int] = field(default_factory=list)
+    #: Partition ids still unavailable after the loader's retries.
+    missing: list[int] = field(default_factory=list)
+    #: Per-partition top-k lists (a seed slice's target-node list first).
+    tops: list[list[Neighbor]] = field(default_factory=list)
+    candidates: int = 0
+    visited: int = 0
+    pruned: int = 0
+    #: Seed slice only: the k-th seed distance (``None`` = fewer than k
+    #: seed candidates, an open threshold) and the target node's layer.
+    threshold: float | None = None
+    target_layer: int | None = None
+    #: Seed slice whose home partition did not load: nothing was scanned.
+    home_lost: bool = False
+
+
+def scan_partitions(
+    index: TardisIndex,
+    query: np.ndarray,
+    k: int,
+    partition_ids,
+    home_pid: int | None = None,
+    threshold: float | None = None,
+    ledger: SimulationLedger | None = None,
+) -> PartitionScan:
+    """Load and scan one slice of an MPA query (Alg. 1 lines 5-16).
+
+    With ``home_pid`` given (the seed slice, which must list it), the
+    pruning threshold is the k-th distance under the home partition's
+    target node (lines 10-14); otherwise ``threshold`` carries the value
+    a seed slice returned (``None`` meaning +inf).  Every loaded
+    partition is MINDIST-pruned with it and ranks its own top-k (lines
+    15-16).  Loads and scans run on parallel workers, so ``ledger`` is
+    charged the slowest one of each.
+    """
+    ledger = ledger if ledger is not None else SimulationLedger()
+    signature, paa = query_signature(index, query)
+    out = PartitionScan()
+    loaded: dict[int, LocalPartition] = {}
+    load_times = []
+    for pid in partition_ids:
+        sub_ledger = SimulationLedger()
+        try:
+            loaded[pid] = index.load_partition(pid, ledger=sub_ledger)
+        except PartitionUnavailableError:
+            out.missing.append(pid)
+        load_times.append(sub_ledger.clock_s)
+    ledger.record_stage(
+        "query/load partitions", wall_s=max(load_times, default=0.0),
+        io_s=sum(load_times), tasks=len(load_times),
+    )
+    out.loaded = list(loaded)
+    scan = ScanStats()
+    target = None
+    if home_pid is not None:
+        if home_pid not in loaded:
+            out.home_lost = True
+            return out
+        with timed_stage(ledger, "query/threshold"):
+            home = loaded[home_pid]
+            target = home.target_node(signature, k)
+            seed_entries = home.entries_under(target, stats=scan)
+            seed_top = top_k(query, home, seed_entries, k)
+        out.tops.append(seed_top)
+        out.candidates += len(seed_entries)
+        out.threshold = seed_top[-1].distance if len(seed_top) >= k else None
+        out.target_layer = target.layer
+        threshold = out.threshold
+    bound = np.inf if threshold is None else float(threshold)
+    scan_times = []
+    for pid, partition in loaded.items():
+        skip = target if pid == home_pid else None
+        scratch = SimulationLedger()
+        with timed_stage(scratch, "query/scan partition"):
+            survivors = partition.pruned_entries(
+                paa, bound, index.series_length, skip=skip, stats=scan
+            )
+            out.tops.append(top_k(query, partition, survivors, k))
+        out.candidates += len(survivors)
+        scan_times.append(scratch.clock_s)
+    ledger.record_stage(
+        "query/parallel scan+rank",
+        wall_s=max(scan_times, default=0.0),
+        cpu_s=sum(scan_times),
+        tasks=len(scan_times),
+    )
+    out.visited = scan.visited
+    out.pruned = scan.pruned
+    return out
+
+
+def gather(
+    tops, k: int, missing=(), bound_of=None
+) -> tuple[list[Neighbor], float | None]:
+    """Merge per-partition top-k lists into the answer (Alg. 1 line 17).
+
+    Sorts by ``(distance, record_id)``, keeps each record id once, and
+    takes ``k``.  With partitions ``missing``, the answer is cut below
+    ``min(bound_of(pid) for pid in missing)``: the region synopsis gives
+    a MINDIST lower bound on the distance to ANY record of a missing
+    partition, so every kept neighbor strictly below it provably
+    precedes all missing candidates in the no-fault ordering, and the
+    cut answer is a prefix of the no-fault one.  Returns the neighbors
+    and the cut bound (``None`` when nothing is missing).
+    """
+    merged = sorted(
+        chain.from_iterable(tops), key=attrgetter("distance", "record_id")
+    )
+    neighbors: list[Neighbor] = []
+    seen_ids: set[int] = set()
+    for neighbor in merged:
+        if len(neighbors) == k:
+            break
+        if neighbor.record_id not in seen_ids:
+            seen_ids.add(neighbor.record_id)
+            neighbors.append(neighbor)
+    if not missing:
+        return neighbors, None
+    safe_bound = min(bound_of(pid) for pid in missing)
+    return [n for n in neighbors if n.distance < safe_bound], safe_bound
+
+
 def knn_multi_partitions_access(
     index: TardisIndex,
     query: np.ndarray,
     k: int,
     pth: int | None = None,
-    seed: int = 0,
 ) -> KnnResult:
     """Multi-Partitions Access (Alg. 1): prune across sibling partitions.
 
-    The sibling partition list comes from the routed node's parent in
-    Tardis-G; when it exceeds ``pth``, the candidates with the smallest
-    region-synopsis MINDIST bound are kept (always including the home
-    partition, which supplies the pruning threshold).  ``seed`` is
-    retained for API compatibility; selection is fully deterministic.
+    :func:`select_mpa_partitions` picks the home partition plus up to
+    ``pth - 1`` siblings, :func:`scan_partitions` scans them all as one
+    slice, and :func:`gather` merges the per-partition top-k lists.  A
+    sharded router runs the same three functions, the scan split across
+    shards.  Partitions unavailable after retries degrade the answer to
+    a provable prefix instead of failing the query.
     """
     _require_clustered(index)
-    del seed
     pth = pth or index.config.pth
     result = KnnResult(neighbors=[], strategy="multi-partitions")
     with get_tracer().span(
@@ -416,109 +563,36 @@ def knn_multi_partitions_access(
     ) as span:
         with timed_stage(result.ledger, "query/route"):
             signature, paa = query_signature(index, query)
-            home_pid, pid_list = select_mpa_partitions(
-                index.global_index,
-                signature,
-                pth,
-                bound_of=lambda pid: index.partitions[pid].region_bound(
+
+            def bound_of(pid: int) -> float:
+                return index.partitions[pid].region_bound(
                     paa, index.series_length
-                ),
+                )
+
+            home_pid, pid_list = select_mpa_partitions(
+                index.global_index, signature, pth, bound_of
             )
-        # Load all partitions (workers pull blocks in parallel → latency is
-        # the max single load, matching Alg. 1's concurrent readHdfsBlock).
-        # Partitions still unavailable after retries are collected and the
-        # query degrades instead of failing.
-        loaded: dict[int, LocalPartition] = {}
-        load_times = []
-        missing: list[int] = []
-        for pid in pid_list:
-            sub_ledger = SimulationLedger()
-            try:
-                loaded[pid] = index.load_partition(pid, ledger=sub_ledger)
-            except PartitionUnavailableError:
-                missing.append(pid)
-            load_times.append(sub_ledger.clock_s)
-        parallel_load = max(load_times, default=0.0)
-        result.ledger.record_stage(
-            "query/load partitions", wall_s=parallel_load,
-            io_s=sum(load_times), tasks=len(pid_list),
+        scan = scan_partitions(
+            index, query, k, pid_list, home_pid=home_pid, ledger=result.ledger
         )
-        result.partitions_loaded = len(loaded)
-        result.partition_ids_loaded = list(loaded)
-        if home_pid not in loaded:
+        result.partitions_loaded = len(scan.loaded)
+        result.partition_ids_loaded = scan.loaded
+        if scan.missing:
+            result.degraded = True
+            result.missing_partitions = sorted(scan.missing)
+            _count_degraded()
+        if scan.home_lost:
             # The threshold partition itself is gone: no sound subset of
             # the baseline can be computed, so degrade to empty.
-            result.degraded = True
-            result.missing_partitions = sorted(set(missing))
             _annotate_knn_span(span, result)
-            _count_degraded()
             _record_query_metrics(simulated_s=result.ledger.clock_s)
             return result
-        scan = ScanStats()
-        # Threshold from the home partition's target node (Alg. 1 lines
-        # 10-14).
-        with timed_stage(result.ledger, "query/threshold"):
-            home = loaded[home_pid]
-            target = home.target_node(signature, k)
-            seed_entries = home.entries_under(target, stats=scan)
-            seed_top = _top_k(query, home, seed_entries, k)
-            threshold = seed_top[-1].distance if len(seed_top) >= k else np.inf
-        # Scan + rank each partition with the threshold, in parallel (lines
-        # 15-16: ``partitions.scan(th).calEuSort(qts)``).  Each worker scans
-        # and distance-sorts its own partition, so the charged latency is the
-        # slowest single partition, and only per-partition top-k lists reach
-        # the driver for the final cheap merge (line 17's ``take(k)``).
-        per_partition_tops: list[list[Neighbor]] = [seed_top]
-        total_candidates = len(seed_entries)
-        scan_times = []
-        for pid, partition in loaded.items():
-            skip = target if pid == home_pid else None
-            scratch = SimulationLedger()
-            with timed_stage(scratch, "query/scan partition"):
-                survivors = partition.pruned_entries(
-                    paa, threshold, index.series_length, skip=skip, stats=scan
-                )
-                per_partition_tops.append(_top_k(query, partition, survivors, k))
-            total_candidates += len(survivors)
-            scan_times.append(scratch.clock_s)
-        result.ledger.record_stage(
-            "query/parallel scan+rank",
-            wall_s=max(scan_times, default=0.0),
-            cpu_s=sum(scan_times),
-            tasks=len(scan_times),
-        )
         with timed_stage(result.ledger, "query/merge"):
-            merged = [n for top in per_partition_tops for n in top]
-            merged.sort(key=lambda n: (n.distance, n.record_id))
-            deduped: list[Neighbor] = []
-            seen_ids: set[int] = set()
-            for neighbor in merged:
-                if neighbor.record_id not in seen_ids:
-                    seen_ids.add(neighbor.record_id)
-                    deduped.append(neighbor)
-                if len(deduped) == k:
-                    break
-            if missing:
-                # Subset guarantee: the region synopsis gives a MINDIST
-                # lower bound on the distance to ANY record in a missing
-                # partition without loading it.  Every kept neighbor
-                # strictly below the smallest such bound provably precedes
-                # all missing candidates in the baseline ordering, so the
-                # truncated answer is a prefix-subset of the no-fault
-                # result.
-                safe_bound = min(
-                    index.partitions[pid].region_bound(
-                        paa, index.series_length
-                    )
-                    for pid in missing
-                )
-                deduped = [n for n in deduped if n.distance < safe_bound]
-                result.degraded = True
-                result.missing_partitions = sorted(set(missing))
-                _count_degraded()
-            result.candidates_examined = total_candidates
-            result.neighbors = deduped
-        result.nodes_visited = (target.layer + 1) + scan.visited
+            result.neighbors, _bound = gather(
+                scan.tops, k, scan.missing, bound_of
+            )
+        result.candidates_examined = scan.candidates
+        result.nodes_visited = (scan.target_layer + 1) + scan.visited
         result.nodes_pruned = scan.pruned
         _annotate_knn_span(span, result)
     _record_query_metrics(

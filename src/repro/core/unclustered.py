@@ -24,7 +24,7 @@ from ..cluster.costmodel import timed_stage
 from ..tsdb.distance import mindist_paa_to_word, mindist_paa_to_words
 from ..tsdb.paa import paa_transform
 from .builder import TardisIndex
-from .queries import KnnResult, Neighbor, query_signature
+from .queries import KnnResult, query_signature, rank_neighbors
 
 __all__ = [
     "knn_signature_only_tardis",
@@ -62,11 +62,9 @@ def knn_signature_only_tardis(
                 index.config.cardinality_bits,
                 index.series_length,
             )
-            rids = block.record_ids[candidates]
-            order = np.lexsort((rids, bounds))[:k]
-            result.neighbors = [
-                Neighbor(float(bounds[i]), int(rids[i])) for i in order
-            ]
+            result.neighbors = rank_neighbors(
+                bounds, block.record_ids[candidates], k
+            )
     return result
 
 

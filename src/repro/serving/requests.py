@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.queries import KNN_STRATEGIES
+from ..telemetry.carrier import extract
 
 __all__ = [
     "OPS",
@@ -147,6 +148,23 @@ class WriteRequest:
             self.deadline_ms = float(self.deadline_ms)
             if self.deadline_ms <= 0:
                 raise ValueError("deadline_ms must be positive")
+
+    @classmethod
+    def from_wire(cls, doc: dict) -> "WriteRequest":
+        """Parse a ``write`` (one ``series``) or ``write-batch``
+        (``batch``) document, trace carrier included."""
+        payload = doc.get("batch") if "batch" in doc else doc.get("series")
+        if payload is None:
+            raise ValueError("write needs 'series' (one) or 'batch' (many)")
+        record_ids = doc.get("record_ids")
+        if record_ids is None and "record_id" in doc:
+            record_ids = [doc["record_id"]]
+        return cls(
+            batch=np.asarray(payload, dtype=np.float64),
+            record_ids=record_ids,
+            deadline_ms=doc.get("deadline_ms"),
+            trace_ctx=extract(doc),
+        )
 
 
 @dataclass

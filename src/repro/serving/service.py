@@ -40,15 +40,12 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..cluster.executors import resolve_executor
 from ..core.builder import TardisIndex
 from ..core.rebalance import OnlineRebalancer
 from ..core.wal import WriteAheadLog
 from ..faults.errors import InjectedTaskCrash
 from ..faults.injector import get_injector
-from ..telemetry.carrier import extract as extract_trace
 from ..telemetry.context import trace_id_of
 from ..telemetry.journal import EventJournal, SlowQueryLog, get_journal
 from ..telemetry.metrics import get_registry
@@ -89,7 +86,251 @@ class Ticket:
         return trace_id_of(self.span)
 
 
-class QueryService:
+class _ServiceBase:
+    """The request lifecycle every serving front-end shares.
+
+    Admit (result cache, then the bounded queue) → shed on deadline →
+    execute → finish.  Subclasses own the execution loop and provide
+    ``queue``, ``slo``, ``journal``, ``slow_log``, ``result_cache``,
+    ``default_deadline_s`` and the ``_started``/``_stopped`` flags, plus
+    two stop hooks: :meth:`_stop_background` (before admissions close)
+    and :meth:`_join` (after).
+    """
+
+    #: Names the front-end in lifecycle errors and logs.
+    _NAME = "service"
+    #: Extra attributes on every ``serve/request`` root span.
+    _ROOT_ATTRS: dict = {}
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
+        """Close admissions; drain (default) or abandon the backlog.
+
+        Abandoned tickets fail through :meth:`_finish` like any other
+        failed request: their traces end and the SLO tracker counts them.
+        """
+        if not self._started or self._stopped:
+            self._stopped = True
+            return
+        self._stopped = True
+        self._stop_background()
+        self.queue.close()
+        if not drain:
+            while leftovers := self.queue.take_batch(64, 0.0):
+                for ticket in leftovers:
+                    self._finish(ticket, error=RuntimeError(
+                        f"{self._NAME} stopped without draining"
+                    ))
+        self._join(timeout)
+        logger.info("%s stopped (drained=%s)", self._NAME, drain)
+
+    def _stop_background(self) -> None:
+        """Stop background work before admissions close."""
+
+    def _join(self, timeout: float | None) -> None:
+        """Join the execution threads once the queue is closed."""
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop(drain=True)
+
+    # -- request path -------------------------------------------------------
+
+    def submit(self, request: QueryRequest) -> Future:
+        """Admit one request; the returned future resolves to a core
+        query result (:class:`ExactMatchResult` / :class:`KnnResult`).
+
+        Under the ``shed`` policy a full queue raises
+        :class:`OverloadedError` here, synchronously.
+        """
+        self._check_running()
+        if len(request.series) != self.index.series_length:
+            raise ValueError(
+                f"query length {len(request.series)} != indexed length "
+                f"{self.index.series_length}"
+            )
+        attrs = (
+            {"strategy": request.strategy} if request.op == "knn" else {}
+        )
+        root = self._open_root(
+            request, "serve/request", "shard/request",
+            op=request.op, **self._ROOT_ATTRS, **attrs,
+        )
+        return self._admit(request, root)
+
+    def query(self, request: QueryRequest, timeout: float | None = None):
+        """Blocking convenience wrapper around :meth:`submit`."""
+        return self.submit(request).result(timeout)
+
+    def _check_running(self) -> None:
+        if not self._started or self._stopped:
+            raise RuntimeError(
+                f"{self._NAME} is not running (use start()/with)"
+            )
+
+    def _open_root(self, request, name: str, remote_name: str, **attrs):
+        """The request's root span.
+
+        A request forwarded from a router carries a trace context: its
+        root joins the remote trace instead of minting a new one.  The
+        root's parent lives in the router process, so end_span will not
+        collect it locally — it ships back in the reply for re-parenting
+        (shard-side half of the repro.tracectx/v1 carrier; see
+        telemetry.carrier).
+        """
+        tracer = get_tracer()
+        ctx = getattr(request, "trace_ctx", None)
+        if ctx is None:
+            return tracer.start_span(name, **attrs)
+        shard_id = getattr(self, "shard_id", None)
+        if shard_id is not None:
+            attrs["shard_id"] = shard_id
+        return tracer.start_remote_span(
+            remote_name, ctx.trace_id, ctx.parent_span_id, **attrs
+        )
+
+    def _admit(self, request, root) -> Future:
+        """Answer from the result cache, or enqueue one ticket."""
+        tracer = get_tracer()
+        future: Future = Future()
+        if isinstance(root, Span):
+            future.trace_root = root
+        if self.result_cache is not None and request.op != "write":
+            cached = self.result_cache.get(request.cache_key())
+            if cached is not None:
+                tracer.end_span(tracer.start_span("serve/cache", parent=root))
+                root.set("cached", True)
+                # End the root *before* resolving the future so waiters
+                # (and the wire handler) see a finished trace.
+                tracer.end_span(root)
+                future.set_result(cached)
+                self.slo.record_completed(0.0, cached=True)
+                self.slow_log.observe(
+                    0.0, trace_id=trace_id_of(root), op=request.op,
+                    cached=True,
+                )
+                return future
+        queue_span = tracer.start_span("serve/queue-wait", parent=root)
+        deadline_s = (
+            request.deadline_ms / 1000.0
+            if request.deadline_ms is not None
+            else self.default_deadline_s
+        )
+        enqueued_at = time.monotonic()
+        ticket = Ticket(
+            request, future, enqueued_at,
+            span=root, queue_span=queue_span,
+            deadline_at=(
+                None if deadline_s is None else enqueued_at + deadline_s
+            ),
+        )
+        try:
+            self.queue.put(ticket)
+        except OverloadedError:
+            queue_span.set("error", "overloaded")
+            tracer.end_span(queue_span)
+            root.set("error", "overloaded")
+            tracer.end_span(root)
+            self.journal.record(
+                "shed", trace_id=trace_id_of(root), op=request.op,
+                queue_depth=self.queue.depth,
+            )
+            self.slo.record_shed()
+            raise
+        self.slo.record_admitted(self.queue.depth)
+        return future
+
+    def _shed_expired(self, ticket, now: float) -> None:
+        """Cancel one ticket whose deadline passed while it queued."""
+        tracer = get_tracer()
+        waited_s = now - ticket.enqueued_at
+        deadline_s = ticket.deadline_at - ticket.enqueued_at
+        ticket.queue_span.set("error", "deadline")
+        tracer.end_span(ticket.queue_span)
+        root = ticket.span
+        root.set("error", "deadline")
+        tracer.end_span(root)
+        self.journal.record(
+            "deadline", trace_id=trace_id_of(root), op=ticket.request.op,
+            waited_ms=waited_s * 1000.0, deadline_ms=deadline_s * 1000.0,
+        )
+        self.slo.record_deadline_shed()
+        ticket.future.set_exception(
+            DeadlineExceededError(waited_s, deadline_s)
+        )
+
+    def _finish(
+        self, ticket, result=None, error=None, degraded: bool = False,
+        now: float | None = None, **fields,
+    ) -> None:
+        """Close one ticket: end its trace, resolve its future, and feed
+        the SLO tracker and slow-query log (``fields`` add to the record).
+
+        The root span ends *before* the future resolves so anything
+        woken by the result — the wire handler embedding the trace, a
+        done-callback — sees a complete timeline.  Queue and batch waits
+        still open (an abandoned or crashed ticket) end with it.
+        """
+        tracer = get_tracer()
+        now = time.monotonic() if now is None else now
+        latency_s = now - ticket.enqueued_at
+        root = ticket.span
+        if error is not None:
+            root.set("error", f"{type(error).__name__}: {error}")
+        if degraded:
+            root.set("degraded", True)
+        tracer.end_span(ticket.queue_span)
+        tracer.end_span(ticket.wait_span)
+        tracer.end_span(root)
+        if error is not None:
+            ticket.future.set_exception(error)
+            self.slo.record_completed(latency_s, failed=True)
+        else:
+            ticket.future.set_result(result)
+            self.slo.record_completed(latency_s, degraded=degraded)
+        request = ticket.request
+        fields.update(
+            trace_id=ticket.trace_id,
+            op=request.op,
+            queue_wait_s=max(0.0, ticket.dequeued_at - ticket.enqueued_at),
+            execute_s=max(
+                0.0, ticket.exec_finished_at - ticket.exec_started_at
+            ),
+        )
+        if request.op == "knn":
+            fields["strategy"] = request.strategy
+        if error is not None:
+            fields["error"] = repr(error)
+        if degraded:
+            fields["degraded"] = True
+            fields["missing_partitions"] = list(
+                getattr(result, "missing_partitions", [])
+            )
+        self.slow_log.observe(latency_s, **fields)
+
+    # -- introspection ------------------------------------------------------
+
+    def recent_traces(
+        self, n: int = 10, trace_id: str | None = None
+    ) -> list[dict]:
+        """Recent finished request traces as ``repro.trace/v1`` span dicts.
+
+        With ``trace_id`` given, exactly that trace (empty list when it
+        fell out of the tracer's root ring or never existed).  Backs the
+        ``trace`` wire op.
+        """
+        tracer = get_tracer()
+        if trace_id:
+            root = tracer.find_trace(trace_id)
+            return [root.to_dict()] if root is not None else []
+        roots = tracer.roots
+        return [root.to_dict() for root in roots[-max(0, n):]] if n > 0 else []
+
+
+class QueryService(_ServiceBase):
     """Serve Exact-Match and kNN queries over a loaded TARDIS index."""
 
     def __init__(
@@ -226,122 +467,15 @@ class QueryService:
         )
         return self
 
-    def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        """Close admissions; drain (default) or abandon the backlog."""
-        if not self._started or self._stopped:
-            self._stopped = True
-            return
-        self._stopped = True
+    def _stop_background(self) -> None:
         if self.rebalancer is not None:
             self.rebalancer.stop()
-        if not drain:
-            # Fail whatever is still queued, then close.
-            self.queue.close()
-            while True:
-                leftovers = self.queue.take_batch(self.max_batch, 0.0)
-                if not leftovers:
-                    break
-                for ticket in leftovers:
-                    ticket.future.set_exception(
-                        RuntimeError("service stopped without draining")
-                    )
-        else:
-            self.queue.close()
+
+    def _join(self, timeout: float | None) -> None:
         if self._thread is not None:
             self._thread.join(timeout)
         if self._owns_wal and self.wal is not None:
             self.wal.close()
-        logger.info("serving stopped (drained=%s)", drain)
-
-    def __enter__(self) -> "QueryService":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop(drain=True)
-
-    # -- request path -------------------------------------------------------
-
-    def submit(self, request: QueryRequest) -> Future:
-        """Admit one request; the returned future resolves to a core
-        query result (:class:`ExactMatchResult` / :class:`KnnResult`).
-
-        Under the ``shed`` policy a full queue raises
-        :class:`OverloadedError` here, synchronously.
-        """
-        if not self._started or self._stopped:
-            raise RuntimeError("service is not running (use start()/with)")
-        self._validate(request)
-        tracer = get_tracer()
-        attrs = (
-            {"strategy": request.strategy} if request.op == "knn" else {}
-        )
-        ctx = getattr(request, "trace_ctx", None)
-        if ctx is not None:
-            # Forwarded from a router: join the remote trace instead of
-            # minting a new one.  The root's parent lives in the router
-            # process, so end_span will not collect it locally — it ships
-            # back in the reply for re-parenting (shard-side half of the
-            # repro.tracectx/v1 carrier; see telemetry.carrier).
-            shard_id = getattr(self, "shard_id", None)
-            if shard_id is not None:
-                attrs["shard_id"] = shard_id
-            root = tracer.start_remote_span(
-                "shard/request", ctx.trace_id, ctx.parent_span_id,
-                op=request.op, **attrs,
-            )
-        else:
-            root = tracer.start_span("serve/request", op=request.op, **attrs)
-        future: Future = Future()
-        if isinstance(root, Span):
-            future.trace_root = root
-        if self.result_cache is not None:
-            cached = self.result_cache.get(request.cache_key())
-            if cached is not None:
-                tracer.end_span(tracer.start_span("serve/cache", parent=root))
-                root.set("cached", True)
-                # End the root *before* resolving the future so waiters
-                # (and the wire handler) see a finished trace.
-                tracer.end_span(root)
-                future.set_result(cached)
-                self.slo.record_completed(0.0, cached=True)
-                self.slow_log.observe(
-                    0.0, trace_id=trace_id_of(root), op=request.op,
-                    cached=True,
-                )
-                return future
-        queue_span = tracer.start_span("serve/queue-wait", parent=root)
-        deadline_s = (
-            request.deadline_ms / 1000.0
-            if request.deadline_ms is not None
-            else self.default_deadline_s
-        )
-        enqueued_at = time.monotonic()
-        ticket = Ticket(
-            request, future, enqueued_at,
-            span=root, queue_span=queue_span,
-            deadline_at=(
-                None if deadline_s is None else enqueued_at + deadline_s
-            ),
-        )
-        try:
-            self.queue.put(ticket)
-        except OverloadedError:
-            queue_span.set("error", "overloaded")
-            tracer.end_span(queue_span)
-            root.set("error", "overloaded")
-            tracer.end_span(root)
-            self.journal.record(
-                "shed", trace_id=trace_id_of(root), op=request.op,
-                queue_depth=self.queue.depth,
-            )
-            self.slo.record_shed()
-            raise
-        self.slo.record_admitted(self.queue.depth)
-        return future
-
-    def query(self, request: QueryRequest, timeout: float | None = None):
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(request).result(timeout)
 
     # -- write path ---------------------------------------------------------
 
@@ -355,63 +489,17 @@ class QueryService:
         query — and acknowledges only after the batch reached the
         write-ahead log (when one is attached).
         """
-        if not self._started or self._stopped:
-            raise RuntimeError("service is not running (use start()/with)")
+        self._check_running()
         if request.batch.shape[1] != self.index.series_length:
             raise ValueError(
                 f"write series length {request.batch.shape[1]} != indexed "
                 f"length {self.index.series_length}"
             )
-        tracer = get_tracer()
-        n_records = int(request.batch.shape[0])
-        ctx = getattr(request, "trace_ctx", None)
-        if ctx is not None:
-            # Forwarded from a router: join the caller's trace (the
-            # shard-side half of the repro.tracectx/v1 carrier).
-            attrs = {"n_records": n_records}
-            shard_id = getattr(self, "shard_id", None)
-            if shard_id is not None:
-                attrs["shard_id"] = shard_id
-            root = tracer.start_remote_span(
-                "shard/write", ctx.trace_id, ctx.parent_span_id, op="write",
-                **attrs,
-            )
-        else:
-            root = tracer.start_span(
-                "serve/write", op="write", n_records=n_records
-            )
-        future: Future = Future()
-        if isinstance(root, Span):
-            future.trace_root = root
-        queue_span = tracer.start_span("serve/queue-wait", parent=root)
-        deadline_s = (
-            request.deadline_ms / 1000.0
-            if request.deadline_ms is not None
-            else self.default_deadline_s
+        root = self._open_root(
+            request, "serve/write", "shard/write",
+            op="write", n_records=int(request.batch.shape[0]),
         )
-        enqueued_at = time.monotonic()
-        ticket = Ticket(
-            request, future, enqueued_at,
-            span=root, queue_span=queue_span,
-            deadline_at=(
-                None if deadline_s is None else enqueued_at + deadline_s
-            ),
-        )
-        try:
-            self.queue.put(ticket)
-        except OverloadedError:
-            queue_span.set("error", "overloaded")
-            tracer.end_span(queue_span)
-            root.set("error", "overloaded")
-            tracer.end_span(root)
-            self.journal.record(
-                "shed", trace_id=trace_id_of(root), op="write",
-                queue_depth=self.queue.depth,
-            )
-            self.slo.record_shed()
-            raise
-        self.slo.record_admitted(self.queue.depth)
-        return future
+        return self._admit(request, root)
 
     def write(
         self, batch, record_ids=None, deadline_ms: float | None = None,
@@ -425,28 +513,8 @@ class QueryService:
 
     def _op_write(self, doc: dict):
         """Wire handler for ``write`` / ``write-batch`` (extra_ops)."""
-        payload = doc.get("batch") if "batch" in doc else doc.get("series")
-        if payload is None:
-            raise ValueError("write needs 'series' (one) or 'batch' (many)")
-        record_ids = doc.get("record_ids")
-        if record_ids is None and "record_id" in doc:
-            record_ids = [doc["record_id"]]
-        request = WriteRequest(
-            batch=np.asarray(payload, dtype=np.float64),
-            record_ids=record_ids,
-            deadline_ms=doc.get("deadline_ms"),
-        )
-        ctx = extract_trace(doc)
-        if ctx is not None:
-            request.trace_ctx = ctx
+        request = WriteRequest.from_wire(doc)
         return self.submit_write(request).result().to_wire()
-
-    def _validate(self, request: QueryRequest) -> None:
-        if len(request.series) != self.index.series_length:
-            raise ValueError(
-                f"query length {len(request.series)} != indexed length "
-                f"{self.index.series_length}"
-            )
 
     # -- batch loop ---------------------------------------------------------
 
@@ -461,7 +529,7 @@ class QueryService:
                 logger.exception("serving batch failed")
                 for ticket in window:
                     if not ticket.future.done():
-                        ticket.future.set_exception(exc)
+                        self._finish(ticket, error=exc)
 
     def _execute_window(self, window: list) -> None:
         tracer = get_tracer()
@@ -511,7 +579,11 @@ class QueryService:
             if self.wal is not None:
                 self.wal.sync()
             for ticket, result in pending:
-                self._finish_write_ticket(ticket, result=result)
+                ticket.exec_finished_at = time.monotonic()
+                self._finish(
+                    ticket, result=result,
+                    n_records=result.acknowledged, durable=result.durable,
+                )
 
     def _execute_reads(self, window: list) -> None:
         groups = group_tickets(self.index, window)
@@ -566,25 +638,6 @@ class QueryService:
             "batch", n_queries=len(window), n_groups=len(groups),
             partition_loads=len(loaded_pids),
             partitions=sorted(set(loaded_pids)),
-        )
-
-    def _shed_expired(self, ticket, now: float) -> None:
-        """Cancel one ticket whose deadline passed while it queued."""
-        tracer = get_tracer()
-        waited_s = now - ticket.enqueued_at
-        deadline_s = ticket.deadline_at - ticket.enqueued_at
-        ticket.queue_span.set("error", "deadline")
-        tracer.end_span(ticket.queue_span)
-        root = ticket.span
-        root.set("error", "deadline")
-        tracer.end_span(root)
-        self.journal.record(
-            "deadline", trace_id=trace_id_of(root), op=ticket.request.op,
-            waited_ms=waited_s * 1000.0, deadline_ms=deadline_s * 1000.0,
-        )
-        self.slo.record_deadline_shed()
-        ticket.future.set_exception(
-            DeadlineExceededError(waited_s, deadline_s)
         )
 
     # -- write apply (batcher thread, under the maintenance lock) -----------
@@ -665,7 +718,8 @@ class QueryService:
                 "serving_writes_failed_total",
                 "Write batches rejected or crashed before acknowledgement",
             ).inc()
-            self._finish_write_ticket(ticket, error=exc)
+            ticket.exec_finished_at = time.monotonic()
+            self._finish(ticket, error=exc)
 
     def _ingest_fault_gate(self, partition_id: int) -> None:
         """Fire the ``ingest/append`` fault site for one write batch.
@@ -720,36 +774,6 @@ class QueryService:
             self._rate_window_start = now
             self._rate_acc = 0
 
-    def _finish_write_ticket(self, ticket, result=None, error=None) -> None:
-        tracer = get_tracer()
-        now = time.monotonic()
-        ticket.exec_finished_at = now
-        latency_s = now - ticket.enqueued_at
-        root = ticket.span
-        if error is not None:
-            root.set("error", f"{type(error).__name__}: {error}")
-        tracer.end_span(root)
-        if error is not None:
-            ticket.future.set_exception(error)
-            self.slo.record_completed(latency_s, failed=True)
-        else:
-            ticket.future.set_result(result)
-            self.slo.record_completed(latency_s)
-        fields = dict(
-            trace_id=ticket.trace_id,
-            op="write",
-            queue_wait_s=max(0.0, ticket.dequeued_at - ticket.enqueued_at),
-            execute_s=max(
-                0.0, ticket.exec_finished_at - ticket.exec_started_at
-            ),
-        )
-        if result is not None:
-            fields["n_records"] = result.acknowledged
-            fields["durable"] = result.durable
-        if error is not None:
-            fields["error"] = repr(error)
-        self.slow_log.observe(latency_s, **fields)
-
     # -- rebalancer hooks ----------------------------------------------------
 
     def _maintenance_gate(self, fn):
@@ -783,59 +807,21 @@ class QueryService:
         self, ticket, group, now: float, batch_size: int,
         result=None, error=None, degraded: bool = False,
     ) -> None:
-        """Close one ticket: end its trace, resolve its future, and feed
-        the SLO tracker and slow-query log.
-
-        The root span ends *before* the future resolves so anything
-        woken by the result — the wire handler embedding the trace, a
-        done-callback — sees a complete timeline.
-        """
-        tracer = get_tracer()
-        latency_s = now - ticket.enqueued_at
-        root = ticket.span
-        root.set("batch_size", batch_size)
-        root.set("group_size", group.size)
-        partitions = (
-            sorted(result.partition_ids_loaded) if result is not None else []
-        )
-        if error is not None:
-            root.set("error", f"{type(error).__name__}: {error}")
-        if degraded:
-            root.set("degraded", True)
-        tracer.end_span(root)
-        if error is not None:
-            ticket.future.set_exception(error)
-            self.slo.record_completed(latency_s, failed=True)
-        else:
-            ticket.future.set_result(result)
-            self.slo.record_completed(latency_s, degraded=degraded)
-        breakdown = {
-            "queue_wait_s": max(0.0, ticket.dequeued_at - ticket.enqueued_at),
-            "batch_wait_s": max(
-                0.0, ticket.exec_started_at - ticket.dequeued_at
-            ),
-            "execute_s": max(
-                0.0, ticket.exec_finished_at - ticket.exec_started_at
-            ),
-        }
-        fields = dict(
-            trace_id=ticket.trace_id,
-            op=ticket.request.op,
+        """:meth:`_finish` one read ticket with its batch context."""
+        ticket.span.set("batch_size", batch_size)
+        ticket.span.set("group_size", group.size)
+        self._finish(
+            ticket, result, error, degraded, now=now,
             batch_size=batch_size,
             group_size=group.size,
-            partitions=partitions,
-            **breakdown,
+            partitions=(
+                sorted(result.partition_ids_loaded)
+                if result is not None else []
+            ),
+            batch_wait_s=max(
+                0.0, ticket.exec_started_at - ticket.dequeued_at
+            ),
         )
-        if ticket.request.op == "knn":
-            fields["strategy"] = ticket.request.strategy
-        if error is not None:
-            fields["error"] = repr(error)
-        if degraded:
-            fields["degraded"] = True
-            fields["missing_partitions"] = list(
-                getattr(result, "missing_partitions", [])
-            )
-        self.slow_log.observe(latency_s, **fields)
 
     def _run_group_safely(self, group):
         """(results, error) so one bad group cannot sink its siblings."""
@@ -930,22 +916,6 @@ class QueryService:
             # Live kernel cost attribution for repro top / --stats.
             report["kernels"] = KERNELS.totals()
         return report
-
-    def recent_traces(
-        self, n: int = 10, trace_id: str | None = None
-    ) -> list[dict]:
-        """Recent finished request traces as ``repro.trace/v1`` span dicts.
-
-        With ``trace_id`` given, exactly that trace (empty list when it
-        fell out of the tracer's root ring or never existed).  Backs the
-        ``trace`` wire op.
-        """
-        tracer = get_tracer()
-        if trace_id:
-            root = tracer.find_trace(trace_id)
-            return [root.to_dict()] if root is not None else []
-        roots = tracer.roots
-        return [root.to_dict() for root in roots[-max(0, n):]] if n > 0 else []
 
     def invalidate_partition(self, partition_id: int) -> None:
         """Drop one partition from both caches (after index maintenance)."""

@@ -1,23 +1,25 @@
 """The scatter/gather router: all of serving's brains, none of its data.
 
-:class:`RouterService` exposes the exact public surface of
+:class:`RouterService` shares the request lifecycle of
 :class:`~repro.serving.service.QueryService` (``submit`` → future,
-``stats``, ``recent_traces``, ``start``/``stop``) so
-:class:`~repro.serving.server.TardisServer` hosts it unchanged — but
+deadlines, ``stop``/drain, ``recent_traces``) through their common base,
+so :class:`~repro.serving.server.TardisServer` hosts it unchanged — but
 instead of executing queries it *places* them:
 
 * **exact-match / target-node / one-partition kNN** route to the home
   partition's least-loaded live replica and are forwarded whole: the
   shard runs the single-process code path over its subset index, so the
   answer is bit-identical by construction.
-* **multi-partitions kNN** runs as scatter/gather.  The router applies
-  the paper's ``pth`` fan-out cap by MINDIST-ranking candidate
-  partitions (:func:`repro.core.queries.select_mpa_partitions` over the
-  region synopses), sends one *seed* call to the home partition's shard
-  (threshold from the home target node, Alg. 1 lines 10-14), scatters
-  the threshold to the remaining hosts in parallel, and merges the
-  returned per-partition top-k lists with the ``(distance, record_id)``
-  tie-break — the same merge the single-process loop performs.
+* **multi-partitions kNN** runs the single-process MPA pipeline split
+  across shards, calling the same core functions rather than copies:
+  :func:`~repro.core.queries.select_mpa_partitions` over the region
+  synopses applies the ``pth`` cap, a *seed* call to the home
+  partition's shard runs :func:`~repro.core.queries.scan_partitions`
+  with the home target node's threshold (Alg. 1 lines 10-14), the
+  threshold is scattered to the remaining hosts in parallel (each runs
+  the same scan on its slice), and
+  :func:`~repro.core.queries.gather` merges the per-partition top-k
+  lists and makes the degraded cut.
 
 Failure handling (docs/ROBUSTNESS.md): every shard call retries across
 replicas under the active :class:`~repro.faults.plan.RetryPolicy` and
@@ -37,12 +39,15 @@ import json
 import logging
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from ..core.queries import KnnResult, Neighbor, select_mpa_partitions
-from ..core.isaxt import signature_of_paa
+from ..core.queries import (
+    KnnResult,
+    Neighbor,
+    gather,
+    query_signature,
+    select_mpa_partitions,
+)
 from ..faults.errors import PartialResultError
 from ..faults.injector import get_injector
 from ..faults.plan import RetryPolicy
@@ -59,7 +64,7 @@ from ..serving.requests import (
 )
 from ..serving.result_cache import ResultCache
 from ..serving.server import RequestTimeoutError, ServingClient
-from ..serving.service import Ticket
+from ..serving.service import Ticket, _ServiceBase
 from ..serving.slo import SLOTracker
 from ..telemetry.carrier import inject, spans_from_compact
 from ..telemetry.context import trace_id_of
@@ -71,7 +76,6 @@ from ..telemetry.journal import (
 )
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import Span, get_tracer, span_from_dict
-from ..tsdb.paa import paa_transform
 from .assignment import ShardPlan
 from .federation import ClusterTelemetry
 from .synopsis import RouterIndex
@@ -96,6 +100,11 @@ class ShardUnavailableError(RuntimeError):
 
 class _ShardCallError(RuntimeError):
     """One shard call failed (connection, timeout, injected crash)."""
+
+
+#: Forwarded-op failures another replica may not share: a dead or
+#: overloaded shard, or a partition that would not load there.
+_FORWARD_RETRY = (_ShardCallError, OverloadedError, PartialResultError)
 
 
 class _ShardState:
@@ -125,8 +134,11 @@ class _ShardState:
         }
 
 
-class RouterService:
+class RouterService(_ServiceBase):
     """Scatter/gather front-end over a :class:`ShardCluster`'s servers."""
+
+    _NAME = "router"
+    _ROOT_ATTRS = {"router": True}
 
     def __init__(
         self,
@@ -254,25 +266,11 @@ class RouterService:
         )
         return self
 
-    def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        if not self._started or self._stopped:
-            self._stopped = True
-            return
-        self._stopped = True
+    def _stop_background(self) -> None:
         self._health_stop.set()
         self._scrape_stop.set()
-        if not drain:
-            self.queue.close()
-            while True:
-                leftovers = self.queue.take_batch(64, 0.0)
-                if not leftovers:
-                    break
-                for ticket in leftovers:
-                    ticket.future.set_exception(
-                        RuntimeError("router stopped without draining")
-                    )
-        else:
-            self.queue.close()
+
+    def _join(self, timeout: float | None) -> None:
         for thread in self._threads:
             thread.join(timeout)
         if self._health_thread is not None:
@@ -280,77 +278,6 @@ class RouterService:
         if self._scrape_thread is not None:
             self._scrape_thread.join(2.0)
         self._fanout.shutdown(wait=False)
-        logger.info("router stopped (drained=%s)", drain)
-
-    def __enter__(self) -> "RouterService":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop(drain=True)
-
-    # -- request path (mirrors QueryService.submit) -------------------------
-
-    def submit(self, request: QueryRequest) -> Future:
-        if not self._started or self._stopped:
-            raise RuntimeError("router is not running (use start()/with)")
-        if len(request.series) != self.index.series_length:
-            raise ValueError(
-                f"query length {len(request.series)} != indexed length "
-                f"{self.index.series_length}"
-            )
-        tracer = get_tracer()
-        root = tracer.start_span(
-            "serve/request", op=request.op, router=True,
-            **({"strategy": request.strategy} if request.op == "knn" else {}),
-        )
-        future: Future = Future()
-        if isinstance(root, Span):
-            future.trace_root = root
-        if self.result_cache is not None:
-            cached = self.result_cache.get(request.cache_key())
-            if cached is not None:
-                tracer.end_span(tracer.start_span("serve/cache", parent=root))
-                root.set("cached", True)
-                tracer.end_span(root)
-                future.set_result(cached)
-                self.slo.record_completed(0.0, cached=True)
-                self.slow_log.observe(
-                    0.0, trace_id=trace_id_of(root), op=request.op,
-                    cached=True,
-                )
-                return future
-        queue_span = tracer.start_span("serve/queue-wait", parent=root)
-        deadline_s = (
-            request.deadline_ms / 1000.0
-            if request.deadline_ms is not None
-            else self.default_deadline_s
-        )
-        enqueued_at = time.monotonic()
-        ticket = Ticket(
-            request, future, enqueued_at,
-            span=root, queue_span=queue_span,
-            deadline_at=(
-                None if deadline_s is None else enqueued_at + deadline_s
-            ),
-        )
-        try:
-            self.queue.put(ticket)
-        except OverloadedError:
-            queue_span.set("error", "overloaded")
-            tracer.end_span(queue_span)
-            root.set("error", "overloaded")
-            tracer.end_span(root)
-            self.journal.record(
-                "shed", trace_id=trace_id_of(root), op=request.op,
-                queue_depth=self.queue.depth,
-            )
-            self.slo.record_shed()
-            raise
-        self.slo.record_admitted(self.queue.depth)
-        return future
-
-    def query(self, request: QueryRequest, timeout: float | None = None):
-        return self.submit(request).result(timeout)
 
     # -- worker loop --------------------------------------------------------
 
@@ -403,68 +330,8 @@ class RouterService:
         self._finish(ticket, result=result, degraded=degraded)
 
     def _home_partition(self, request: QueryRequest) -> int:
-        signature, _paa = self._signature(request.series)
+        signature, _paa = query_signature(self.index, request.series)
         return self.index.global_index.route(signature)
-
-    def _signature(self, series) -> tuple[str, np.ndarray]:
-        config = self.index.config
-        paa = paa_transform(
-            np.asarray(series, dtype=np.float64), config.word_length
-        )
-        return signature_of_paa(paa, config.cardinality_bits), paa
-
-    def _shed_expired(self, ticket: Ticket, now: float) -> None:
-        tracer = get_tracer()
-        waited_s = now - ticket.enqueued_at
-        deadline_s = ticket.deadline_at - ticket.enqueued_at
-        ticket.queue_span.set("error", "deadline")
-        tracer.end_span(ticket.queue_span)
-        ticket.span.set("error", "deadline")
-        tracer.end_span(ticket.span)
-        self.journal.record(
-            "deadline", trace_id=trace_id_of(ticket.span),
-            op=ticket.request.op,
-            waited_ms=waited_s * 1000.0, deadline_ms=deadline_s * 1000.0,
-        )
-        self.slo.record_deadline_shed()
-        ticket.future.set_exception(DeadlineExceededError(waited_s, deadline_s))
-
-    def _finish(
-        self, ticket: Ticket, result=None, error=None, degraded: bool = False
-    ) -> None:
-        tracer = get_tracer()
-        now = time.monotonic()
-        latency_s = now - ticket.enqueued_at
-        root = ticket.span
-        if error is not None:
-            root.set("error", f"{type(error).__name__}: {error}")
-        if degraded:
-            root.set("degraded", True)
-        tracer.end_span(root)
-        if error is not None:
-            ticket.future.set_exception(error)
-            self.slo.record_completed(latency_s, failed=True)
-        else:
-            ticket.future.set_result(result)
-            self.slo.record_completed(latency_s, degraded=degraded)
-        fields = dict(
-            trace_id=ticket.trace_id,
-            op=ticket.request.op,
-            queue_wait_s=max(0.0, ticket.dequeued_at - ticket.enqueued_at),
-            execute_s=max(
-                0.0, ticket.exec_finished_at - ticket.exec_started_at
-            ),
-        )
-        if ticket.request.op == "knn":
-            fields["strategy"] = ticket.request.strategy
-        if error is not None:
-            fields["error"] = repr(error)
-        if degraded:
-            fields["degraded"] = True
-            fields["missing_partitions"] = list(
-                getattr(result, "missing_partitions", [])
-            )
-        self.slow_log.observe(latency_s, **fields)
 
     # -- shard calls --------------------------------------------------------
 
@@ -633,13 +500,13 @@ class RouterService:
         """Forward one whole request to a replica of ``partition_id``.
 
         Retries across the host set under the retry policy; a shard
-        reply of ``partial-result`` is retried too (a replica may still
-        load the partition the first host lost).  Exhaustion raises
+        reply of ``overloaded`` or ``partial-result`` is retried too (a
+        replica may have queue room, or still load the partition the
+        first host lost).  Exhaustion raises
         :class:`ShardUnavailableError` (or re-raises the last typed
-        partial-result).
+        overloaded / partial-result).
         """
         retry = self._retry_policy()
-        tracer = get_tracer()
         excluded: set[int] = set()
         tried: list[int] = []
         last_error: BaseException | None = None
@@ -656,61 +523,63 @@ class RouterService:
                 if shard_id is None:  # pragma: no cover - empty host set
                     break
             tried.append(shard_id)
-            call_span = tracer.start_span(
-                "route/shard-call", parent=parent_span,
-                shard_id=shard_id, op=op, attempt=attempt,
+            result, last_error = self._traced_call(
+                shard_id, op, doc, parent_span, attempt, [partition_id],
+                retry_on=_FORWARD_RETRY,
             )
-            if attempt > 1:
-                # A re-route after a failed replica: tag the span so the
-                # waterfall shows the failover leg explicitly.
-                call_span.set("failover", True)
-            call_doc = doc
-            carrier = inject(call_span)
-            if carrier is not None:
-                call_doc = dict(
-                    doc, ctx=carrier, trace_sample=self.trace_sample
-                )
-            try:
-                envelope = self._call_once(shard_id, op, call_doc, attempt)
-                result = self._unwrap(envelope)
-            except _ShardCallError as exc:
-                call_span.set("error", str(exc))
-                tracer.end_span(call_span)
-                last_error = exc
-                excluded.add(shard_id)
-                self._journal_failover(
-                    shard_id, op, str(exc), attempt,
-                    partition_ids=[partition_id],
-                    trace_id=trace_id_of(parent_span),
-                )
-                if attempt < retry.max_attempts:
-                    self._count_retry()
-                    self._backoff(
-                        attempt, deadline_at, "shard", partition_id, op
-                    )
-                continue
-            except PartialResultError as exc:
-                call_span.set("error", "partial-result")
-                tracer.end_span(call_span)
-                last_error = exc
-                excluded.add(shard_id)
-                self._journal_failover(
-                    shard_id, op, "partial-result", attempt,
-                    partition_ids=[partition_id],
-                    trace_id=trace_id_of(parent_span),
-                )
-                if attempt < retry.max_attempts:
-                    self._count_retry()
-                    self._backoff(
-                        attempt, deadline_at, "shard", partition_id, op
-                    )
-                continue
-            self._adopt_trace(envelope.get("trace"), call_span)
-            tracer.end_span(call_span)
-            return result
-        if isinstance(last_error, PartialResultError):
+            if last_error is None:
+                return result
+            excluded.add(shard_id)
+            if attempt < retry.max_attempts:
+                self._count_retry()
+                self._backoff(attempt, deadline_at, "shard", partition_id, op)
+        if isinstance(last_error, (PartialResultError, OverloadedError)):
             raise last_error
         raise ShardUnavailableError(partition_id, tried, last_error)
+
+    def _traced_call(
+        self, shard_id: int, op: str, doc: dict, parent_span, attempt: int,
+        partition_ids, retry_on=RuntimeError, **attrs,
+    ):
+        """One traced shard call: ``(result, None)``, or ``(None, error)``
+        when it failed with a ``retry_on`` error (journaled as failover).
+
+        Opens the ``route/shard-call`` span, injects the trace carrier,
+        unwraps the reply and adopts the span tree the shard returned.
+        Errors outside ``retry_on`` end the span and propagate.
+        """
+        tracer = get_tracer()
+        call_span = tracer.start_span(
+            "route/shard-call", parent=parent_span,
+            shard_id=shard_id, op=op, attempt=attempt, **attrs,
+        )
+        if attempt > 1:
+            # A re-route after a failed replica: tag the span so the
+            # waterfall shows the failover leg explicitly.
+            call_span.set("failover", True)
+        carrier = inject(call_span)
+        if carrier is not None:
+            doc = dict(doc, ctx=carrier, trace_sample=self.trace_sample)
+        try:
+            envelope = self._call_once(shard_id, op, doc, attempt)
+            result = self._unwrap(envelope)
+            self._adopt_trace(
+                envelope.get("trace") or result.get("trace"), call_span
+            )
+        except retry_on as exc:
+            reason = (
+                "partial-result" if isinstance(exc, PartialResultError)
+                else f"{type(exc).__name__}: {exc}"
+            )
+            call_span.set("error", reason)
+            self._journal_failover(
+                shard_id, op, reason, attempt, partition_ids=partition_ids,
+                trace_id=trace_id_of(parent_span),
+            )
+            return None, exc
+        finally:
+            tracer.end_span(call_span)
+        return result, None
 
     def _count_retry(self) -> None:
         injector = get_injector()
@@ -763,7 +632,7 @@ class RouterService:
     def _execute_forward(
         self, request: QueryRequest, parent_span, deadline_at: float | None
     ):
-        signature, _paa = self._signature(request.series)
+        signature, _paa = query_signature(self.index, request.series)
         partition_id = self.index.global_index.route(signature)
         want_trace = get_tracer().enabled
         series = request.series.tolist()
@@ -809,11 +678,14 @@ class RouterService:
     def _execute_mpa(
         self, request: QueryRequest, parent_span, deadline_at: float | None
     ) -> KnnResult:
-        signature, paa = self._signature(request.series)
+        signature, paa = query_signature(self.index, request.series)
+
+        def bound_of(pid: int) -> float:
+            return self.index.bound_of(pid, paa)
+
         pth = request.pth or self.index.config.pth
         home_pid, pid_list = select_mpa_partitions(
-            self.index.global_index, signature, pth,
-            bound_of=lambda pid: self.index.bound_of(pid, paa),
+            self.index.global_index, signature, pth, bound_of
         )
         k = request.k
         series = request.series.tolist()
@@ -979,46 +851,30 @@ class RouterService:
                 degraded=True, missing_partitions=sorted(missing),
             )
 
-        # Gather: identical merge to the single-process MPA loop —
-        # (distance, record_id) sort, record-id dedup, k-truncate, then
-        # the synopsis-bound prefix cut when partitions went missing.
+        # Gather: the single-process MPA merge and degraded cut, with the
+        # router's region synopses supplying the missing partitions' bounds.
         gather_span = tracer.start_span(
             "route/gather", parent=parent_span, replies=len(replies),
         )
-        neighbors = [
-            (float(d), int(r))
-            for reply in replies for d, r in reply.get("neighbors", [])
-        ]
-        neighbors.sort()
-        deduped = []
-        seen_ids: set[int] = set()
-        for distance, record_id in neighbors:
-            if record_id not in seen_ids:
-                seen_ids.add(record_id)
-                deduped.append((distance, record_id))
-            if len(deduped) == k:
-                break
-        degraded = False
         missing_list = sorted(missing)
+        neighbors, safe_bound = gather(
+            [
+                [Neighbor(float(d), int(r)) for d, r in reply["neighbors"]]
+                for reply in replies
+            ],
+            k, missing_list, bound_of,
+        )
         if missing_list:
-            safe_bound = min(
-                self.index.bound_of(pid, paa) for pid in missing_list
-            )
-            cut_span = tracer.start_span(
+            tracer.end_span(tracer.start_span(
                 "route/degraded-cut", parent=gather_span,
                 degraded=True, missing_partitions=missing_list,
                 safe_bound=float(safe_bound),
-            )
-            deduped = [
-                (d, r) for d, r in deduped if d < safe_bound
-            ]
-            tracer.end_span(cut_span)
-            degraded = True
+            ))
             self._count_degraded()
-        gather_span.set("merged", len(deduped))
+        gather_span.set("merged", len(neighbors))
         tracer.end_span(gather_span)
-        result = KnnResult(
-            neighbors=[Neighbor(d, r) for d, r in deduped],
+        return KnnResult(
+            neighbors=neighbors,
             partitions_loaded=len(loaded),
             candidates_examined=sum(
                 int(reply.get("candidates", 0)) for reply in replies
@@ -1032,10 +888,9 @@ class RouterService:
             nodes_pruned=sum(
                 int(reply.get("pruned", 0)) for reply in replies
             ),
-            degraded=degraded,
+            degraded=bool(missing_list),
             missing_partitions=missing_list,
         )
-        return result
 
     def _shard_knn_call(
         self, shard_id: int, series, k: int, pids, parent_span,
@@ -1053,33 +908,10 @@ class RouterService:
             doc["threshold"] = threshold
         if trace:
             doc["trace"] = True
-        tracer = get_tracer()
-        call_span = tracer.start_span(
-            "route/shard-call", parent=parent_span,
-            shard_id=shard_id, op="shard-knn", attempt=attempt,
+        reply, _error = self._traced_call(
+            shard_id, "shard-knn", doc, parent_span, attempt, pids,
             n_partitions=len(pids), seed=home_pid is not None,
         )
-        if attempt > 1:
-            call_span.set("failover", True)
-        carrier = inject(call_span)
-        if carrier is not None:
-            doc["ctx"] = carrier
-            doc["trace_sample"] = self.trace_sample
-        try:
-            envelope = self._call_once(shard_id, "shard-knn", doc, attempt)
-            reply = self._unwrap(envelope)
-        except (_ShardCallError, OverloadedError, DeadlineExceededError,
-                RuntimeError) as exc:
-            call_span.set("error", f"{type(exc).__name__}: {exc}")
-            tracer.end_span(call_span)
-            self._journal_failover(
-                shard_id, "shard-knn", f"{type(exc).__name__}: {exc}",
-                attempt, partition_ids=pids,
-                trace_id=trace_id_of(parent_span),
-            )
-            return None
-        self._adopt_trace(reply.get("trace"), call_span)
-        tracer.end_span(call_span)
         return reply
 
     # -- streaming writes ---------------------------------------------------
@@ -1103,17 +935,7 @@ class RouterService:
         a partition could not be reached; a partition whose entire host
         chain fails raises, surfacing as a typed wire error.
         """
-        payload = doc.get("batch") if "batch" in doc else doc.get("series")
-        if payload is None:
-            raise ValueError("write needs 'series' (one) or 'batch' (many)")
-        record_ids = doc.get("record_ids")
-        if record_ids is None and "record_id" in doc:
-            record_ids = [doc["record_id"]]
-        request = WriteRequest(
-            batch=np.asarray(payload, dtype=np.float64),
-            record_ids=record_ids,
-            deadline_ms=doc.get("deadline_ms"),
-        )
+        request = WriteRequest.from_wire(doc)
         batch = request.batch
         if batch.shape[1] != self.index.series_length:
             raise ValueError(
@@ -1141,7 +963,7 @@ class RouterService:
         row_pids: list[int] = []
         groups: dict[int, list[int]] = {}
         for i in range(n):
-            signature, _paa = self._signature(batch[i])
+            signature, _paa = query_signature(self.index, batch[i])
             pid = self.index.global_index.route(signature)
             if pid not in self.index.synopses:
                 raise ValueError(
@@ -1235,7 +1057,6 @@ class RouterService:
         """Deliver one partition's rows to one replica; ``None`` when the
         retry budget is exhausted (the caller records the failed leg)."""
         retry = self._retry_policy()
-        tracer = get_tracer()
         base_doc: dict = {
             "op": "write-batch", "batch": rows, "record_ids": rids,
         }
@@ -1247,36 +1068,17 @@ class RouterService:
             doc = base_doc
             if remaining is not None:
                 doc = dict(base_doc, deadline_ms=remaining * 1000.0)
-            call_span = tracer.start_span(
-                "route/shard-call", parent=parent_span,
-                shard_id=shard_id, op="write-batch", attempt=attempt,
-                partition_id=partition_id,
+            result, error = self._traced_call(
+                shard_id, "write-batch", doc, parent_span, attempt,
+                [partition_id], partition_id=partition_id,
             )
-            if attempt > 1:
-                call_span.set("failover", True)
-            carrier = inject(call_span)
-            if carrier is not None:
-                doc = dict(doc, ctx=carrier, trace_sample=self.trace_sample)
-            try:
-                envelope = self._call_once(shard_id, "write-batch", doc, attempt)
-                result = self._unwrap(envelope)
-            except (_ShardCallError, OverloadedError, DeadlineExceededError,
-                    RuntimeError) as exc:
-                call_span.set("error", f"{type(exc).__name__}: {exc}")
-                tracer.end_span(call_span)
-                self._journal_failover(
-                    shard_id, "write-batch", f"{type(exc).__name__}: {exc}",
-                    attempt, partition_ids=[partition_id],
-                    trace_id=trace_id_of(parent_span),
+            if error is None:
+                return result
+            if attempt < retry.max_attempts:
+                self._count_retry()
+                self._backoff(
+                    attempt, deadline_at, "shard", partition_id, "write"
                 )
-                if attempt < retry.max_attempts:
-                    self._count_retry()
-                    self._backoff(
-                        attempt, deadline_at, "shard", partition_id, "write"
-                    )
-                continue
-            tracer.end_span(call_span)
-            return result
         return None
 
     # -- cluster telemetry (federation scrape) ------------------------------
@@ -1371,16 +1173,6 @@ class RouterService:
         if self.telemetry.scrapes > 0:
             report["cluster"] = self.telemetry.cluster_report()
         return report
-
-    def recent_traces(
-        self, n: int = 10, trace_id: str | None = None
-    ) -> list[dict]:
-        tracer = get_tracer()
-        if trace_id:
-            root = tracer.find_trace(trace_id)
-            return [root.to_dict()] if root is not None else []
-        roots = tracer.roots
-        return [root.to_dict() for root in roots[-max(0, n):]] if n > 0 else []
 
     def slowest_recent_trace(self, window: int = 32) -> dict | None:
         """Full span tree of the slowest request among the last

@@ -10,12 +10,12 @@ construction.
 The shard adds one wire op, ``shard-knn`` — the scatter target of
 distributed Multi-Partitions Access.  The router decides *which*
 partitions participate (the ``pth`` fan-out cap) and splits them by
-host; each shard then executes the same per-partition work the
-single-process MPA loop would: load, seed-phase threshold from the
-home target node (home shard only), MINDIST-pruned scan, vectorized
-per-partition top-k (:func:`repro.core.queries._top_k` — shared, not
-reimplemented).  Only per-partition top-k lists travel back; the
-router's merge applies the ``(distance, record_id)`` tie-break.
+host; each shard then calls :func:`repro.core.queries.scan_partitions`
+on its slice — the very function single-process MPA calls on the whole
+list: load, seed threshold from the home target node (home shard
+only), MINDIST-pruned scan, per-partition top-k.  Only the
+per-partition top-k lists travel back, and the router merges them with
+the same :func:`repro.core.queries.gather`.
 
 ``shard-knn`` runs in the connection handler thread and bypasses the
 shard's admission queue: backpressure, deadlines, caching and SLO
@@ -31,16 +31,14 @@ import time
 import numpy as np
 
 from ..core.builder import TardisIndex
-from ..core.local_index import ScanStats
-from ..core.queries import _top_k, query_signature
-from ..faults.errors import PartitionUnavailableError
+from ..core.queries import scan_partitions
 from ..telemetry.carrier import compact_spans, extract, should_ship
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import Span, get_tracer
 from ..serving.service import QueryService
 from ..serving.slo import LATENCY_BUCKETS
 
-__all__ = ["ShardService", "subset_index", "run_shard_knn"]
+__all__ = ["ShardService", "subset_index"]
 
 logger = logging.getLogger(__name__)
 
@@ -67,76 +65,6 @@ def subset_index(index: TardisIndex, partition_ids) -> TardisIndex:
         series_length=index.series_length,
         clustered=index.clustered,
     )
-
-
-def run_shard_knn(
-    index: TardisIndex,
-    series: np.ndarray,
-    k: int,
-    partition_ids,
-    home_pid: int | None = None,
-    threshold: float | None = None,
-) -> dict:
-    """One shard's slice of a distributed MPA query.
-
-    With ``home_pid`` given (the seed call), the pruning threshold is
-    computed from the home partition's target node exactly as Alg. 1
-    lines 10-14 do; otherwise ``threshold`` must carry the value the
-    seed call returned (``None`` meaning +inf: fewer than ``k`` seed
-    candidates).  Partitions that fail to load after the injector's
-    retries are reported in ``missing`` — the router decides whether a
-    replica can still serve them.
-    """
-    signature, paa = query_signature(index, series)
-    loaded = {}
-    missing: list[int] = []
-    for pid in partition_ids:
-        try:
-            loaded[pid] = index.load_partition(pid)
-        except PartitionUnavailableError:
-            missing.append(pid)
-    reply: dict = {
-        "loaded": sorted(loaded),
-        "missing": sorted(missing),
-        "neighbors": [],
-        "candidates": 0,
-        "visited": 0,
-        "pruned": 0,
-    }
-    scan = ScanStats()
-    tops: list = []
-    candidates = 0
-    target = None
-    if home_pid is not None:
-        if home_pid not in loaded:
-            # No threshold can be computed: the router degrades the
-            # whole query (same as the single-process home-lost path).
-            reply["home_lost"] = True
-            return reply
-        home = loaded[home_pid]
-        target = home.target_node(signature, k)
-        seed_entries = home.entries_under(target, stats=scan)
-        seed_top = _top_k(series, home, seed_entries, k)
-        candidates += len(seed_entries)
-        tops.append(seed_top)
-        threshold = seed_top[-1].distance if len(seed_top) >= k else None
-        reply["threshold"] = threshold
-        reply["target_layer"] = target.layer
-    th = np.inf if threshold is None else float(threshold)
-    for pid, partition in loaded.items():
-        skip = target if pid == home_pid else None
-        survivors = partition.pruned_entries(
-            paa, th, index.series_length, skip=skip, stats=scan
-        )
-        tops.append(_top_k(series, partition, survivors, k))
-        candidates += len(survivors)
-    reply["neighbors"] = [
-        [n.distance, n.record_id] for top in tops for n in top
-    ]
-    reply["candidates"] = candidates
-    reply["visited"] = scan.visited
-    reply["pruned"] = scan.pruned
-    return reply
 
 
 class ShardService(QueryService):
@@ -199,7 +127,7 @@ class ShardService(QueryService):
         token = tracer.attach(root)
         started = time.perf_counter()
         try:
-            reply = run_shard_knn(
+            scan = scan_partitions(
                 self.index, series, k, partition_ids,
                 home_pid=None if home_pid is None else int(home_pid),
                 threshold=threshold,
@@ -209,6 +137,23 @@ class ShardService(QueryService):
             tracer.end_span(root)
             latency_s = time.perf_counter() - started
             self._mark_shard_knn(latency_s, len(partition_ids))
+        reply: dict = {
+            "loaded": sorted(scan.loaded),
+            "missing": sorted(scan.missing),
+            "neighbors": [
+                [n.distance, n.record_id] for top in scan.tops for n in top
+            ],
+            "candidates": scan.candidates,
+            "visited": scan.visited,
+            "pruned": scan.pruned,
+        }
+        if scan.home_lost:
+            # No threshold can be computed: the router degrades the whole
+            # query (same as the single-process home-lost path).
+            reply["home_lost"] = True
+        elif home_pid is not None:
+            reply["threshold"] = scan.threshold
+            reply["target_layer"] = scan.target_layer
         self.slow_log.observe(
             latency_s,
             trace_id=root.trace_id if isinstance(root, Span) else None,

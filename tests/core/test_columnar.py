@@ -29,7 +29,7 @@ from repro.core.isaxt import (
     signature_of_series,
 )
 from repro.core.local_index import build_local_partition
-from repro.core.queries import _top_k, query_signature
+from repro.core.queries import query_signature, top_k
 from repro.tsdb.distance import (
     euclidean,
     mindist_paa_to_word,
@@ -239,7 +239,7 @@ class TestTopKEquivalence:
         rng = np.random.default_rng(seed)
         query = z_normalize(np.cumsum(rng.standard_normal(LENGTH)))
         rows = np.arange(partition.block.n_rows)
-        got = _top_k(query, partition, rows, k)
+        got = top_k(query, partition, rows, k)
         # Scalar reference: python sort on (distance, record_id).
         scored = sorted(
             (euclidean(query, values[i]), i) for i in range(len(values))
@@ -252,5 +252,5 @@ class TestTopKEquivalence:
     def test_empty_rows(self):
         records, _ = make_records(5)
         partition = build_local_partition(0, records, CFG)
-        assert _top_k(np.zeros(LENGTH), partition,
-                      np.array([], dtype=np.int64), 3) == []
+        assert top_k(np.zeros(LENGTH), partition,
+                     np.array([], dtype=np.int64), 3) == []

@@ -11,7 +11,9 @@ level:
   micro-batching exists to shrink: grouping a flush window by Tardis-G
   home partition amortizes one load across every grouped query, so at
   concurrency >= 8 the batched value must be strictly below the
-  unbatched 1.0 (the ``--check`` gate CI enforces).
+  unbatched 1.0 (the ``--check`` gate CI enforces).  The services run
+  with their default flush policy (no linger), so at concurrency 1 the
+  batched throughput must reach at least half the unbatched one.
 
 Also runs an open-loop (Poisson) pass at a deliberately low offered
 rate against a ``shed``-policy service and checks nothing sheds — the
@@ -89,15 +91,15 @@ from repro.tsdb import random_walk  # noqa: E402
 
 
 def make_service(index, max_batch: int, policy: str = "block",
-                 queue: int = 512) -> QueryService:
+                 queue: int = 512, **overrides) -> QueryService:
     return QueryService(
         index,
         queue_capacity=queue,
         policy=policy,
         max_batch=max_batch,
-        max_delay_ms=2.0,
         executor="threads",
         result_cache_size=None,  # measure execution, not memoization
+        **overrides,
     )
 
 
@@ -158,7 +160,12 @@ def observability_overhead(index, pool, args) -> dict:
     from repro.telemetry.spans import disable_tracing, enable_tracing
 
     def one_pass() -> float:
-        with make_service(index, args.batch) as service:
+        # The A/B gate below compares two identical configurations, so
+        # its passes keep a 2 ms linger: the flush timer, not CPU
+        # contention among the client, batcher and executor threads,
+        # paces them.  Without it, passes on a shared 2-vCPU host spread
+        # by up to 2x.
+        with make_service(index, args.batch, max_delay_ms=2.0) as service:
             report = closed_loop(
                 service, pool, total=args.total, concurrency=8, seed=17,
                 op="knn", strategy="target-node", k=10,
@@ -604,12 +611,15 @@ def run(args) -> dict:
     ingest_row = ingest_scenarios(dataset, config, pool, args) \
         if "ingest" in on else None
 
-    def ratio(concurrency: int, scenario: str) -> float:
+    def closed_row(concurrency: int, scenario: str) -> dict:
         for row in closed:
             if (row["concurrency"] == concurrency
                     and row["scenario"] == scenario):
-                return row["partitions_per_query"]
+                return row
         raise KeyError((concurrency, scenario))
+
+    def ratio(concurrency: int, scenario: str) -> float:
+        return closed_row(concurrency, scenario)["partitions_per_query"]
 
     high = [c for c in args.concurrencies if c >= 8]
     checks = {
@@ -618,6 +628,12 @@ def run(args) -> dict:
         ) if open_row else None,
         "batching_reduces_partition_loads": all(
             ratio(c, "batched") < ratio(c, "unbatched") for c in high
+        ) if closed else None,
+        # A lone client must not pay for batching: the batcher flushes
+        # as soon as it is free, so batched keeps pace with unbatched.
+        "batching_free_at_c1": (
+            closed_row(1, "batched")["achieved_qps"]
+            >= 0.5 * closed_row(1, "unbatched")["achieved_qps"]
         ) if closed else None,
         "all_queries_answered": all(
             row["completed"] == row["sent"] for row in closed
@@ -687,7 +703,9 @@ def run(args) -> dict:
             "strategy": "target-node",
             "k": 10,
             "batch_max": args.batch,
-            "batch_delay_ms": 2.0,
+            "batch_delay_ms": make_service(
+                index, args.batch
+            ).stats()["config"]["max_delay_ms"],
         },
         "sections": sorted(on),
         "closed_loop": closed,

@@ -43,10 +43,11 @@ Execution (docs/PARALLELISM.md): every command accepts ``--executor
 backend the engine and batch paths run on.
 
 Serving (docs/SERVING.md): ``serve`` exposes admission control
-(``--queue``/``--policy``), micro-batching (``--batch-max``/
-``--batch-delay-ms``), both caches (``--cache``/``--result-cache``) and
-an SLO report (``--report FILE`` on shutdown, or live via
-``query-remote --stats``).
+(``--queue``/``--policy``), micro-batching (``--batch-max``; the batcher
+flushes as soon as it is free, and ``--batch-delay-ms`` opts into
+lingering for late arrivals), both caches (``--cache``/
+``--result-cache``) and an SLO report (``--report FILE`` on shutdown, or
+live via ``query-remote --stats``).
 """
 
 from __future__ import annotations
@@ -872,8 +873,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="backpressure when the queue is full")
     srv.add_argument("--batch-max", type=int, default=16, metavar="N",
                      help="micro-batch flush size")
-    srv.add_argument("--batch-delay-ms", type=float, default=2.0,
-                     metavar="MS", help="micro-batch max flush delay")
+    srv.add_argument("--batch-delay-ms", type=float, default=0.0,
+                     metavar="MS",
+                     help="micro-batch max flush delay "
+                          "(0 = flush as soon as the batcher is free)")
     srv.add_argument("--max-seconds", type=float, default=None, metavar="S",
                      help="stop after S seconds (default: run until signal)")
     srv.add_argument("--report", metavar="FILE",

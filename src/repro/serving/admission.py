@@ -10,12 +10,14 @@ with one of two policies when full:
   :class:`OverloadedError` (open-loop traffic; the server maps it to an
   ``overloaded`` wire error so clients can back off).
 
-The consumer side is batch-oriented: :meth:`AdmissionQueue.take_batch`
-returns up to ``max_batch`` tickets, waiting at most ``max_delay_s``
-after the first arrival so a lone request is never held hostage by the
-batcher.  :meth:`close` stops admissions while letting the consumer
-drain what was already accepted — the graceful-shutdown half of the
-serving contract.
+The consumer side batches *naturally*: :meth:`AdmissionQueue.take_batch`
+blocks for the first ticket, then takes whatever else is already queued
+(up to ``max_batch``) and returns at once.  A lone request goes straight
+to execution; requests that arrive while a window executes queue up and
+share the next one.  A positive ``max_delay_s`` opts into lingering for
+late arrivals.  :meth:`close` stops admissions while letting the
+consumer drain what was already accepted — the graceful-shutdown half
+of the serving contract.
 """
 
 from __future__ import annotations
@@ -128,12 +130,12 @@ class AdmissionQueue:
             self._items.append(item)
             self._not_empty.notify()
 
-    def take_batch(self, max_batch: int, max_delay_s: float) -> list:
+    def take_batch(self, max_batch: int, max_delay_s: float = 0.0) -> list:
         """Up to ``max_batch`` items; [] only when closed *and* drained.
 
-        Blocks for the first item, then keeps collecting until the batch
-        is full or ``max_delay_s`` has elapsed since that first take —
-        the micro-batcher's flush timer.
+        Blocks for the first item, then takes what is already queued.
+        With a positive ``max_delay_s`` it keeps collecting until the
+        batch is full or that long has passed since the first take.
         """
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")

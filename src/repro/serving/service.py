@@ -6,11 +6,12 @@
 1. :meth:`submit` checks the keyed result cache, then admits the request
    into the bounded :class:`~repro.serving.admission.AdmissionQueue`
    (blocking or shedding per the backpressure policy).
-2. A dedicated batcher thread flushes the queue in micro-batches (size
-   or max-delay triggered), groups the window by plan + Tardis-G home
-   partition, and dispatches one task per group onto the configured
-   :mod:`repro.cluster.executors` backend — per-strategy routing happens
-   inside :func:`repro.serving.batcher.run_group`.
+2. A dedicated batcher thread takes everything queued (up to
+   ``max_batch``) as soon as it is free — requests that arrived while the
+   previous window ran share the next one — groups the window by plan +
+   Tardis-G home partition, and dispatches one task per group onto the
+   configured :mod:`repro.cluster.executors` backend — per-strategy
+   routing happens inside :func:`repro.serving.batcher.run_group`.
 3. Completed groups resolve their request futures, feed the result
    cache, and report latency / occupancy / partition-load figures to the
    :class:`~repro.serving.slo.SLOTracker`.
@@ -117,7 +118,7 @@ class _ServiceBase:
         self._stop_background()
         self.queue.close()
         if not drain:
-            while leftovers := self.queue.take_batch(64, 0.0):
+            while leftovers := self.queue.take_batch(64):
                 for ticket in leftovers:
                     self._finish(ticket, error=RuntimeError(
                         f"{self._NAME} stopped without draining"
@@ -290,7 +291,10 @@ class _ServiceBase:
             self.slo.record_completed(latency_s, failed=True)
         else:
             ticket.future.set_result(result)
-            self.slo.record_completed(latency_s, degraded=degraded)
+            self.slo.record_completed(
+                latency_s, degraded=degraded,
+                write=ticket.request.op == "write",
+            )
         request = ticket.request
         fields.update(
             trace_id=ticket.trace_id,
@@ -340,7 +344,7 @@ class QueryService(_ServiceBase):
         queue_capacity: int = 256,
         policy: str = "block",
         max_batch: int = 16,
-        max_delay_ms: float = 2.0,
+        max_delay_ms: float = 0.0,
         executor: object | str | None = None,
         jobs: int | None = None,
         result_cache_size: int | None = 1024,

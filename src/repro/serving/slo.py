@@ -112,7 +112,7 @@ class SLOTracker:
 
     def record_completed(
         self, latency_s: float, cached: bool = False, failed: bool = False,
-        degraded: bool = False,
+        degraded: bool = False, write: bool = False,
     ) -> None:
         registry = get_registry()
         with self._lock:
@@ -123,13 +123,13 @@ class SLOTracker:
                 if degraded:
                     self.degraded += 1
                 self._latency_hist.observe(float(latency_s))
-                # Failures stay out of the hit/miss ledger: they neither
-                # consulted the cache usefully nor produced an answer, so
-                # counting them would deflate hit_rate and inflate the
+                # Failures and writes stay out of the hit/miss ledger:
+                # neither consults the cache for an answer, so counting
+                # them would deflate hit_rate and inflate the
                 # partitions_per_query denominator.
                 if cached:
                     self.cache_hits += 1
-                else:
+                elif not write:
                     self.cache_misses += 1
         if failed:
             registry.counter(
@@ -146,6 +146,8 @@ class SLOTracker:
             "Wall-clock request latency (admission to completion)",
             buckets=LATENCY_BUCKETS,
         ).observe(latency_s)
+        if write:
+            return
         name = (
             "serving_result_cache_hits_total" if cached
             else "serving_result_cache_misses_total"

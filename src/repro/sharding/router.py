@@ -283,7 +283,7 @@ class RouterService(_ServiceBase):
 
     def _worker_loop(self) -> None:
         while True:
-            window = self.queue.take_batch(1, 0.05)
+            window = self.queue.take_batch(1)
             if not window:
                 return  # queue closed and drained
             for ticket in window:

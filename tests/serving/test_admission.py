@@ -112,6 +112,67 @@ class TestTakeBatch:
         thread.join(2.0)
         assert result == ["now"]
 
+    def test_zero_delay_takes_queued_without_waiting(self):
+        queue = AdmissionQueue(16)
+        for item in ("a", "b", "c"):
+            queue.put(item)
+
+        def no_wait(*_args, **_kwargs):
+            raise AssertionError("take_batch waited on the condition")
+
+        queue._not_empty.wait = no_wait
+        assert queue.take_batch(16, 0.0) == ["a", "b", "c"]
+
+
+class TestNaturalBatching:
+    """The default batcher flushes as soon as it is free: nothing waits
+    on a timer, and requests that queue while a window executes share
+    the next one."""
+
+    def test_default_service_does_not_linger(self, tardis_small):
+        from repro.serving.service import QueryService
+
+        svc = QueryService(tardis_small)
+        assert svc.stats()["config"]["max_delay_ms"] == 0.0
+
+    def test_requests_queued_while_busy_share_one_window(
+        self, tardis_small, heldout_queries
+    ):
+        from repro.core import knn_target_node_access
+        from repro.serving.requests import QueryRequest
+        from repro.serving.service import QueryService
+        from repro.telemetry.journal import EventJournal
+
+        queries = heldout_queries[5:9]
+        refs = [knn_target_node_access(tardis_small, q, 5) for q in queries]
+        svc = QueryService(
+            tardis_small, result_cache_size=0, journal=EventJournal()
+        )
+        with svc:
+            # The batcher takes A, then blocks on the maintenance lock
+            # inside A's window: B, C and D queue behind it.
+            with svc._maintenance_lock:
+                first = svc.submit(QueryRequest(
+                    queries[0], op="knn", strategy="target-node", k=5,
+                ))
+                deadline = time.monotonic() + 10.0
+                while svc.queue.depth and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert svc.queue.depth == 0
+                rest = [
+                    svc.submit(QueryRequest(
+                        q, op="knn", strategy="target-node", k=5,
+                    ))
+                    for q in queries[1:]
+                ]
+            results = [f.result(timeout=30.0) for f in [first, *rest]]
+            report = svc.stats()
+        assert report["batches"] == 2
+        assert report["requests_completed"] == 4
+        for got, ref in zip(results, refs):
+            assert got.record_ids == ref.record_ids
+            assert got.distances == ref.distances
+
 
 class TestDeadlineBudget:
     """Per-request deadline: queue wait counts, expired work is cancelled

@@ -91,6 +91,24 @@ class TestWriteOps:
         assert ingest["writes_failed"] == 0
         assert ingest["wal"] is None
 
+    def test_writes_stay_out_of_cache_ledger(self, index, stream):
+        """Writes never consult the result cache, so they count as
+        completed requests but neither as hits nor as misses — else they
+        dilute partitions_per_query and the hit rate."""
+        with service(index, result_cache_size=64) as svc:
+            for i in range(5):
+                svc.write(stream[i:i + 1])
+            for i in range(3):
+                svc.query(QueryRequest(
+                    stream[10 + i], op="knn", strategy="target-node", k=5,
+                ))
+            report = svc.stats()
+        assert report["requests_completed"] == 8
+        assert report["latency"]["samples"] == 8
+        assert report["result_cache_hits"] == 0
+        assert report["result_cache_misses"] == 3
+        assert report["partitions_per_query"] == pytest.approx(1.0)
+
 
 class TestDurabilityOrdering:
     def test_ack_implies_logged(self, index, tmp_path, stream):
